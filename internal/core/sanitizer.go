@@ -187,11 +187,8 @@ func Sanitize(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Result, error)
 	}
 	var scenes inpaint.Scenes
 	if !cfg.Phase2.SkipRender {
-		step := cfg.BackgroundStep
-		if step <= 0 {
-			step = detect.AutoStep(v.Len())
-		}
 		inSpan := root.Child("inpaint")
+		step := detect.Stride(cfg.BackgroundStep, v.Len())
 		scenes, err = inpaint.ExtractScenesRT(v, tracks, step, cfg.Inpaint, obs.Runtime{Pool: pool, Span: inSpan})
 		inSpan.End()
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"verro/internal/img"
 	"verro/internal/inpaint"
 	"verro/internal/keyframe"
+	"verro/internal/ldp"
 	"verro/internal/motio"
 	"verro/internal/obs"
 	"verro/internal/par"
@@ -18,11 +19,12 @@ import (
 )
 
 // The bounded-memory streaming driver. SanitizeStream runs the same VERRO
-// pipeline as Sanitize, but never holds the whole clip: the input flows
-// through an analysis pass in windows of cfg.WindowFrames frames, the
-// analysis retains only clip-length *metadata* (per-frame HSV histograms,
-// pan offsets) plus the ~40 strided background samples detect.AutoStep
-// bounds, and Phase II renders window by window straight into a sink.
+// pipeline as Sanitize, but never holds the whole clip: Analyze pulls the
+// input through one pass in windows of cfg.WindowFrames frames, retaining
+// only clip-length *metadata* (per-frame HSV histograms, pan offsets) plus
+// the ~40 strided background samples detect.AutoStep bounds, and Render
+// plans from that analysis and renders window by window straight into a
+// sink without decoding again.
 //
 // Bit-identity with the batch path is by construction, not by luck:
 //
@@ -60,24 +62,27 @@ func (s *histStage) Process(w stream.Window) error {
 	return nil
 }
 
-// bgSampleStage retains every step-th frame for the temporal background
-// median — the same `k % step == 0` stride the batch reconstruction walks,
-// bounded at ~40 samples by detect.AutoStep whatever the clip length.
-type bgSampleStage struct {
-	step    int
-	samples []*img.Image
-	indices []int
+// SampleStage retains every Step-th frame (with its clip index) for a
+// temporal background median — the `k % Step == 0` stride the batch
+// reconstruction walks, bounded at ~40 samples by detect.AutoStep whatever
+// the clip length. The analysis pass runs one for background
+// reconstruction; background-subtraction detection shares it when its
+// stride is the same, or rides its own along on the same pass.
+type SampleStage struct {
+	Step    int
+	Samples []*img.Image
+	Indices []int
 }
 
-func (s *bgSampleStage) Name() string { return "bgsample" }
-func (s *bgSampleStage) Overlap() int { return 0 }
-func (s *bgSampleStage) Flush() error { return nil }
-func (s *bgSampleStage) Process(w stream.Window) error {
+func (s *SampleStage) Name() string { return "bgsample" }
+func (s *SampleStage) Overlap() int { return 0 }
+func (s *SampleStage) Flush() error { return nil }
+func (s *SampleStage) Process(w stream.Window) error {
 	for i, f := range w.FreshFrames() {
 		k := w.FreshStart() + i
-		if k%s.step == 0 {
-			s.samples = append(s.samples, f)
-			s.indices = append(s.indices, k)
+		if k%s.Step == 0 {
+			s.Samples = append(s.Samples, f)
+			s.Indices = append(s.Indices, k)
 		}
 	}
 	return nil
@@ -121,6 +126,16 @@ func windowHook(parent *obs.Span) func(stream.Window) func() {
 		parent.Add(obs.CWindowFrames, int64(len(w.Frames)))
 		child := parent.Child(fmt.Sprintf("window@%d", w.Start))
 		return child.End
+	}
+}
+
+// decodeHook is windowHook for a pass that pulls its windows from a
+// source: it also counts the frames pulled as frames_decoded.
+func decodeHook(parent *obs.Span) func(stream.Window) func() {
+	hook := windowHook(parent)
+	return func(w stream.Window) func() {
+		parent.Add(obs.CFramesDecoded, int64(len(w.Frames)))
+		return hook(w)
 	}
 }
 
@@ -172,164 +187,363 @@ func SanitizeStream(src stream.Source, tracks *motio.TrackSet, cfg Config, sink 
 // uninterrupted run. Windows before the cursor contribute their geometry
 // (not their pixels) to the synthetic track fold and their ledger entries
 // are recomputed, so the Result does not depend on where the run was cut.
+//
+// It is Analyze followed by Render; callers that need the analysis between
+// the two (an ε→f conversion, detection sharing the decode pass) call them
+// directly.
 func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, sink stream.Sink, startFrame int) (*Result, error) {
 	meta := src.Meta()
 	if meta.Frames == 0 {
 		return nil, fmt.Errorf("core: empty input video")
 	}
-	if tracks == nil {
-		return nil, fmt.Errorf("core: nil track set")
+	if err := checkRender(meta, tracks, cfg, sink, startFrame); err != nil {
+		return nil, err
+	}
+	a, err := Analyze(src, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return Render(a, tracks, cfg, sink, startFrame)
+}
+
+// Analysis is everything the sanitizer needs from a clip's pixels, taken in
+// one windowed pass over the source: the per-frame HSV histograms (and the
+// key frames segmented from them, computed on first use and cached), the
+// strided background samples with their clip indices, and the pan offsets
+// of a moving camera. Render works from an Analysis alone and never decodes,
+// so a run with tracks decodes its input once, however many times the ε→f
+// conversion consults the key frames.
+//
+// Render consumes the background samples; an Analysis renders once.
+type Analysis struct {
+	// Meta is the analyzed source's metadata.
+	Meta stream.Meta
+
+	kfCfg keyframe.Config // segmentation config, MaxSegmentLen resolved
+	hists []*img.HSVHist  // dropped once segmented
+	kf    *keyframe.Result
+	bg    *SampleStage // nil for a render-free analysis
+	pan   *panStage    // nil unless rendering a moving-camera clip
+	spent bool         // Render has consumed bg's samples
+	pool  *par.Pool
+	root  *obs.Span
+	// prep is the wall time of the analysis pass plus key-frame
+	// segmentation, the analysis share of Result.PreprocessTime.
+	prep time.Duration
+}
+
+// Analyze runs the analysis pass: one windowed sweep over src (of
+// cfg.WindowFrames frames a window) collecting the clip-length metadata
+// preprocessing needs while the pixels flow through unretained, except the
+// ~40 strided background samples detect.AutoStep bounds. Under
+// cfg.Phase2.SkipRender only the histograms are taken: the result can
+// convert ε to f but not render. extra stages ride along on the same pass,
+// which is how detection shares the decode. Traced under an "analysis"
+// span with one window@N child per window; the span's frames_decoded
+// counter is the number of frames pulled from src.
+func Analyze(src stream.Source, cfg Config, extra ...stream.Stage) (*Analysis, error) {
+	meta := src.Meta()
+	if meta.Frames == 0 {
+		return nil, fmt.Errorf("core: empty input video")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if !cfg.Phase2.SkipRender && sink == nil {
-		return nil, fmt.Errorf("core: nil sink for rendering run")
-	}
-	windowBudget := cfg.WindowFrames
-	if windowBudget <= 0 {
-		windowBudget = meta.Frames
-	}
-	if startFrame < 0 || startFrame > meta.Frames ||
-		(startFrame != meta.Frames && startFrame%windowBudget != 0) {
-		return nil, fmt.Errorf("core: resume cursor %d is not a window boundary (window %d, %d frames)",
-			startFrame, windowBudget, meta.Frames)
-	}
 	pool := par.NewPool(cfg.Workers)
+	cfg.Trace.AttachPool(pool)
+	a := &Analysis{
+		Meta:  meta,
+		kfCfg: autoSegmentCfg(cfg.Keyframe, meta.Frames),
+		pool:  pool,
+		root:  cfg.Trace.Root(),
+	}
+	hist := &histStage{cfg: a.kfCfg, pool: pool}
+	stages := []stream.Stage{hist}
+	if !cfg.Phase2.SkipRender {
+		a.bg = &SampleStage{Step: detect.Stride(cfg.BackgroundStep, meta.Frames)}
+		stages = append(stages, a.bg)
+		if meta.Moving {
+			a.pan = &panStage{maxShift: inpaint.DefaultPanShift}
+			stages = append(stages, a.pan)
+		}
+	}
+	stages = append(stages, extra...)
+	err := timed(&a.prep, func() error {
+		span := a.root.Child("analysis")
+		defer span.End()
+		return stream.Run(src, cfg.WindowFrames, decodeHook(span), stages...)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: analysis pass: %w", err)
+	}
+	a.hists = hist.hists
+	return a, nil
+}
+
+// BackgroundSamples returns the strided frames the analysis retained for
+// the temporal background median, taken every
+// detect.Stride(cfg.BackgroundStep, Meta.Frames) frames; nil for a
+// render-free analysis or once Render has consumed them.
+func (a *Analysis) BackgroundSamples() []*img.Image {
+	if a.bg == nil {
+		return nil
+	}
+	return a.bg.Samples
+}
+
+// keyFrames segments the histograms into key frames on first use (under a
+// "keyframes" span of the analysis trace) and caches the result.
+func (a *Analysis) keyFrames() (*keyframe.Result, error) {
+	if a.kf != nil {
+		return a.kf, nil
+	}
+	err := timed(&a.prep, func() error {
+		span := a.root.Child("keyframes")
+		defer span.End()
+		kf, err := keyframe.SegmentHistsRT(a.hists, a.kfCfg, obs.Runtime{Pool: a.pool, Span: span})
+		if err != nil {
+			return fmt.Errorf("core: key frames: %w", err)
+		}
+		a.kf, a.hists = kf, nil
+		return nil
+	})
+	return a.kf, err
+}
+
+// keyframesFit rejects a cfg that segments key frames differently from
+// the analysis.
+func (a *Analysis) keyframesFit(cfg Config) error {
+	if autoSegmentCfg(cfg.Keyframe, a.Meta.Frames) != a.kfCfg {
+		return fmt.Errorf("core: analysis was built under a different key-frame config")
+	}
+	return nil
+}
+
+// fits reports why cfg cannot render from this analysis: the key frames
+// must be segmented under the same config, and a rendering run needs the
+// background samples taken at its stride, not yet consumed.
+func (a *Analysis) fits(cfg Config) error {
+	if err := a.keyframesFit(cfg); err != nil {
+		return err
+	}
+	if cfg.Phase2.SkipRender {
+		return nil
+	}
+	switch {
+	case a.bg == nil:
+		return fmt.Errorf("core: analysis was built render-free; it holds no background samples")
+	case a.spent:
+		return fmt.Errorf("core: analysis already rendered; its background samples are gone")
+	case a.bg.Step != detect.Stride(cfg.BackgroundStep, a.Meta.Frames):
+		return fmt.Errorf("core: analysis sampled the background every %d frames, config asks for %d",
+			a.bg.Step, detect.Stride(cfg.BackgroundStep, a.Meta.Frames))
+	}
+	return nil
+}
+
+// scenes reconstructs the background model(s) from the analysis samples
+// with the objects masked out, then drops the samples so the render pass's
+// live set is the plan plus one window.
+func (a *Analysis) scenes(tracks *motio.TrackSet, cfg inpaint.Config, rt obs.Runtime) (inpaint.Scenes, error) {
+	samples, indices := a.bg.Samples, a.bg.Indices
+	a.bg.Samples, a.bg.Indices, a.spent = nil, nil, true
+	if a.pan != nil {
+		return inpaint.BuildMovingBackgroundSamplesRT(
+			a.Meta.W, a.Meta.H, a.pan.offsets, samples, indices, tracks, cfg, rt)
+	}
+	bg, err := inpaint.StaticBackgroundSamplesRT(a.Meta.W, a.Meta.H, samples, indices, tracks, cfg, rt)
+	if err != nil {
+		return nil, err
+	}
+	return inpaint.NewStaticScenes(bg), nil
+}
+
+// FlipForEpsilon converts a total ε budget to the flip probability that
+// spends it, ε = K·ln((2−f)/f), where K is the number of key frames Phase I
+// picks for these tracks under cfg. It runs Phase I alone, untraced, on the
+// analysis' cached key frames with a fresh rng seeded from cfg.Seed — the
+// picks a full render-free SanitizeStream dry run would make, without its
+// decode and histogram pass. The analysis is left intact for Render.
+func FlipForEpsilon(a *Analysis, tracks *motio.TrackSet, cfg Config, eps float64) (f float64, picked int, err error) {
+	if a == nil {
+		return 0, 0, fmt.Errorf("core: nil analysis")
+	}
+	if tracks == nil {
+		return 0, 0, fmt.Errorf("core: nil track set")
+	}
+	if err := cfg.Validate(); err != nil {
+		return 0, 0, err
+	}
+	if err := a.keyframesFit(cfg); err != nil {
+		return 0, 0, err
+	}
+	kf, err := a.keyFrames()
+	if err != nil {
+		return 0, 0, err
+	}
+	p1, err := runPhase1Stage(tracks, a.Meta.Frames, kf, cfg.Phase1, rand.New(rand.NewSource(cfg.Seed)), nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	f, err = ldp.FlipProbability(len(p1.Picked), eps)
+	return f, len(p1.Picked), err
+}
+
+// checkRender rejects a run whose arguments cannot render: no tracks, an
+// invalid privacy config, a missing sink, or a resume cursor off the
+// window grid.
+func checkRender(meta stream.Meta, tracks *motio.TrackSet, cfg Config, sink stream.Sink, startFrame int) error {
+	if tracks == nil {
+		return fmt.Errorf("core: nil track set")
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if !cfg.Phase2.SkipRender && sink == nil {
+		return fmt.Errorf("core: nil sink for rendering run")
+	}
+	window := windowBudget(cfg, meta.Frames)
+	if startFrame < 0 || startFrame > meta.Frames ||
+		(startFrame != meta.Frames && startFrame%window != 0) {
+		return fmt.Errorf("core: resume cursor %d is not a window boundary (window %d, %d frames)",
+			startFrame, window, meta.Frames)
+	}
+	return nil
+}
+
+// windowBudget is the render window budget: cfg.WindowFrames, or the whole
+// clip when that is <= 0.
+func windowBudget(cfg Config, frames int) int {
+	if cfg.WindowFrames <= 0 {
+		return frames
+	}
+	return cfg.WindowFrames
+}
+
+// Render is the sanitizer after the analysis pass: key frames, background
+// reconstruction, Phase I, the Phase II plan, and the window-by-window
+// render into sink from startFrame on (see SanitizeStreamFrom for the
+// cursor contract). cfg must be the config the analysis was taken under up
+// to its privacy parameters — the same Keyframe and BackgroundStep, and a
+// rendering run needs an analysis built for rendering; Phase1 (an f from
+// FlipForEpsilon, say), Phase2, Inpaint, Seed and WindowFrames are free.
+// The worker pool is the one Analyze sized; Render's spans go under
+// cfg.Trace. Result.PreprocessTime covers the analysis pass, key-frame
+// segmentation and background reconstruction.
+func Render(a *Analysis, tracks *motio.TrackSet, cfg Config, sink stream.Sink, startFrame int) (*Result, error) {
+	if a == nil {
+		return nil, fmt.Errorf("core: nil analysis")
+	}
+	meta := a.Meta
+	if err := checkRender(meta, tracks, cfg, sink, startFrame); err != nil {
+		return nil, err
+	}
+	if err := a.fits(cfg); err != nil {
+		return nil, err
+	}
+	pool := a.pool
 	cfg.Trace.AttachPool(pool)
 	root := cfg.Trace.Root()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Analysis pass: one windowed sweep over the source collecting the
-	// clip-length metadata preprocessing needs.
-	preStart := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-	kfCfg := autoSegmentCfg(cfg.Keyframe, meta.Frames)
-	hist := &histStage{cfg: kfCfg, pool: pool}
-	stages := []stream.Stage{hist}
-	var bgs *bgSampleStage
-	var pan *panStage
-	if !cfg.Phase2.SkipRender {
-		step := cfg.BackgroundStep
-		if step <= 0 {
-			step = detect.AutoStep(meta.Frames)
-		}
-		bgs = &bgSampleStage{step: step}
-		stages = append(stages, bgs)
-		if meta.Moving {
-			pan = &panStage{maxShift: inpaint.DefaultPanShift}
-			stages = append(stages, pan)
-		}
-	}
-	anSpan := root.Child("analysis")
-	err := stream.Run(src, cfg.WindowFrames, windowHook(anSpan), stages...)
-	anSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: analysis pass: %w", err)
-	}
-
-	kfSpan := root.Child("keyframes")
-	kf, err := keyframe.SegmentHistsRT(hist.hists, kfCfg, obs.Runtime{Pool: pool, Span: kfSpan})
-	kfSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: key frames: %w", err)
-	}
-
-	var scenes inpaint.Scenes
-	if !cfg.Phase2.SkipRender {
-		inSpan := root.Child("inpaint")
-		rt := obs.Runtime{Pool: pool, Span: inSpan}
-		if meta.Moving {
-			scenes, err = inpaint.BuildMovingBackgroundSamplesRT(
-				meta.W, meta.H, pan.offsets, bgs.samples, bgs.indices, tracks, cfg.Inpaint, rt)
-		} else {
-			var bg *img.Image
-			bg, err = inpaint.StaticBackgroundSamplesRT(
-				meta.W, meta.H, bgs.samples, bgs.indices, tracks, cfg.Inpaint, rt)
-			if err == nil {
-				scenes = inpaint.NewStaticScenes(bg)
-			}
-		}
-		inSpan.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: background: %w", err)
-		}
-		// The analysis samples have served; drop them before rendering so
-		// the render pass's live set is the plan plus one window.
-		bgs.samples, bgs.indices = nil, nil
-	}
-	preTime := time.Since(preStart) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-
-	// Phase I — small data, identical helper and rng order to the batch path.
-	p1Start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-	p1, err := runPhase1Stage(tracks, meta.Frames, kf, cfg.Phase1, rng, root)
+	kf, err := a.keyFrames()
 	if err != nil {
 		return nil, err
 	}
-	p1Time := time.Since(p1Start) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
+	var scenes inpaint.Scenes
+	var bgTime time.Duration
+	if !cfg.Phase2.SkipRender {
+		err := timed(&bgTime, func() error {
+			inSpan := root.Child("inpaint")
+			defer inSpan.End()
+			var err error
+			scenes, err = a.scenes(tracks, cfg.Inpaint, obs.Runtime{Pool: pool, Span: inSpan})
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: background: %w", err)
+		}
+	}
+
+	// Phase I — small data, identical helper and rng order to the batch path.
+	var p1 *Phase1Result
+	var p1Time time.Duration
+	err = timed(&p1Time, func() error {
+		var err error
+		p1, err = runPhase1Stage(tracks, meta.Frames, kf, cfg.Phase1, rng, root)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	// Phase II: consume the remaining rng draws into a pure render plan,
 	// then render window by window into the sink.
-	p2Start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-	p2Span := root.Child("phase2")
-	plan, err := planPhase2(p1, kf, tracks, meta.W, meta.H, meta.Frames, cfg.Phase2, rng)
-	if err != nil {
-		p2Span.End()
-		return nil, fmt.Errorf("core: phase 2: %w", err)
-	}
-	asm := newPhase2Assembler(plan)
-	budget := windowBudget
-	hook := windowHook(p2Span)
+	var p2 *Phase2Result
 	var ledger []WindowSpend
-	for lo := 0; lo < meta.Frames; lo += budget {
-		hi := lo + budget
-		if hi > meta.Frames {
-			hi = meta.Frames
+	var p2Time time.Duration
+	out := sink
+	if cfg.Phase2.SkipRender {
+		out = nil
+	}
+	err = timed(&p2Time, func() error {
+		p2Span := root.Child("phase2")
+		defer p2Span.End()
+		plan, err := planPhase2(p1, kf, tracks, meta.W, meta.H, meta.Frames, cfg.Phase2, rng)
+		if err != nil {
+			return fmt.Errorf("core: phase 2: %w", err)
 		}
-		if hi <= startFrame {
-			// Window already rendered and persisted by the run being
-			// resumed: re-fold its geometry so the synthetic tracks come out
-			// identical, recompute its ledger entry, and leave its pixels to
-			// the caller's checkpointed staging. No window span opens — SSE
-			// progress starts at the resume cursor.
-			for i, fr := range plan.geometryRange(lo, hi) {
+		asm := newPhase2Assembler(plan)
+		budget := windowBudget(cfg, meta.Frames)
+		hook := windowHook(p2Span)
+		for lo := 0; lo < meta.Frames; lo += budget {
+			hi := min(lo+budget, meta.Frames)
+			if hi <= startFrame {
+				// Window already rendered and persisted by the run being
+				// resumed: re-fold its geometry so the synthetic tracks come
+				// out identical, recompute its ledger entry, and leave its
+				// pixels to the caller's checkpointed staging. No window span
+				// opens — SSE progress starts at the resume cursor.
+				for i, fr := range plan.geometryRange(lo, hi) {
+					asm.add(lo+i, fr)
+				}
+				ledger = append(ledger, windowSpend(p1, lo, hi))
+				continue
+			}
+			post := hook(stream.Window{Start: lo, Frames: make([]*img.Image, hi-lo), Last: hi == meta.Frames})
+			rendered, err := plan.renderRange(scenes, lo, hi, obs.Runtime{Pool: pool, Span: p2Span})
+			if err != nil {
+				post()
+				return err
+			}
+			frames := make([]*img.Image, 0, len(rendered))
+			for i, fr := range rendered {
 				asm.add(lo+i, fr)
+				if fr.frame != nil {
+					frames = append(frames, fr.frame)
+				}
+			}
+			if out != nil {
+				if err := out.Append(frames); err != nil {
+					post()
+					return fmt.Errorf("core: sink: %w", err)
+				}
 			}
 			ledger = append(ledger, windowSpend(p1, lo, hi))
-			continue
-		}
-		post := hook(stream.Window{Start: lo, Frames: make([]*img.Image, hi-lo), Last: hi == meta.Frames})
-		rendered, err := plan.renderRange(scenes, lo, hi, obs.Runtime{Pool: pool, Span: p2Span})
-		if err != nil {
 			post()
-			p2Span.End()
-			return nil, err
 		}
-		frames := make([]*img.Image, 0, len(rendered))
-		for i, fr := range rendered {
-			asm.add(lo+i, fr)
-			if fr.frame != nil {
-				frames = append(frames, fr.frame)
-			}
-		}
-		if !cfg.Phase2.SkipRender {
-			if err := sink.Append(frames); err != nil {
-				post()
-				p2Span.End()
-				return nil, fmt.Errorf("core: sink: %w", err)
-			}
-		}
-		ledger = append(ledger, windowSpend(p1, lo, hi))
-		post()
+		p2Span.Add(obs.CFramesRendered, int64(meta.Frames-startFrame))
+		p2 = asm.finish(obs.Runtime{Pool: pool, Span: p2Span})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	p2Span.Add(obs.CFramesRendered, int64(meta.Frames-startFrame))
-	p2 := asm.finish(obs.Runtime{Pool: pool, Span: p2Span})
-	p2Span.End()
-	if !cfg.Phase2.SkipRender {
-		if err := sink.Close(); err != nil {
+	if out != nil {
+		if err := timed(&p2Time, out.Close); err != nil {
 			return nil, fmt.Errorf("core: sink: %w", err)
 		}
 	}
-	p2Time := time.Since(p2Start) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
 
 	return &Result{
 		SyntheticTracks: p2.Tracks,
@@ -339,9 +553,19 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 		Epsilon:         p1.Epsilon,
 		Phase1Time:      p1Time,
 		Phase2Time:      p2Time,
-		PreprocessTime:  preTime,
+		PreprocessTime:  a.prep + bgTime,
 		Windows:         ledger,
 	}, nil
+}
+
+// timed runs fn and adds its wall time to *d — the stage timings of
+// Result, reported as the paper's Table 3 diagnostics. The clock reading
+// never reaches sanitized output.
+func timed(d *time.Duration, fn func() error) error {
+	start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
+	err := fn()
+	*d += time.Since(start) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
+	return err
 }
 
 // OutputMeta derives the sink metadata for a streaming run from the input

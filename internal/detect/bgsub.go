@@ -184,6 +184,17 @@ func AutoStep(n int) int {
 	return step
 }
 
+// Stride resolves a configured background-sampling stride for an n-frame
+// clip: step when positive, AutoStep(n) otherwise. The detector's median
+// and the sanitizer's background reconstruction both resolve through it,
+// so equal configurations sample the same frames.
+func Stride(step, n int) int {
+	if step > 0 {
+		return step
+	}
+	return AutoStep(n)
+}
+
 // medianU8 computes the median in place via counting (256 buckets), which
 // is faster than sorting for many small slices.
 func medianU8(vals []uint8) uint8 {

@@ -66,6 +66,9 @@ func NewEpsHTTP() *Analyzer {
 			"verro/internal/core.Sanitize":           {Operands: []int{2}, What: "core.Sanitize"},
 			"verro/internal/core.SanitizeStream":     {Operands: []int{2}, What: "core.SanitizeStream"},
 			"verro/internal/core.SanitizeStreamFrom": {Operands: []int{2}, What: "core.SanitizeStreamFrom"},
+			"verro/internal/core.Analyze":            {Operands: []int{1}, What: "core.Analyze"},
+			"verro/internal/core.Render":             {Operands: []int{2}, What: "core.Render"},
+			"verro/internal/core.FlipForEpsilon":     {Operands: []int{2}, What: "core.FlipForEpsilon"},
 			"verro/internal/core.SanitizeMultiType":  {Operands: []int{2}, What: "core.SanitizeMultiType"},
 			"verro/internal/core.SanitizeJoint":      {Operands: []int{2, 3}, What: "core.SanitizeJoint"},
 			"verro/internal/core.RunPhase1":          {Operands: []int{2}, What: "core.RunPhase1"},

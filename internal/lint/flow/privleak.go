@@ -63,6 +63,11 @@ func NewPrivLeak(fmtSinkPrefixes ...string) *Analyzer {
 			"verro/internal/core.Sanitize",
 			"verro/internal/core.SanitizeStream",
 			"verro/internal/core.SanitizeStreamFrom",
+			// The two halves of SanitizeStreamFrom's gate: Render publishes
+			// only what Phase I/II produce, and FlipForEpsilon returns only
+			// f and the picked-key-frame count K a dry run would.
+			"verro/internal/core.Render",
+			"verro/internal/core.FlipForEpsilon",
 			"verro/internal/core.SanitizeMultiType",
 			"verro/internal/core.SanitizeJoint",
 			"verro/internal/core.RunPhase1",

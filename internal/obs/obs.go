@@ -66,6 +66,11 @@ const (
 	// CWindowFrames counts fresh (non-overlap) frames presented across all
 	// streaming windows of a pass.
 	CWindowFrames = "window_frames"
+	// CFramesDecoded counts frames pulled from the input source, on the
+	// span of each pass that decodes the clip (analysis, the detector's
+	// background sampling, detection). Summed over the trace it is the
+	// number of frames the run decoded.
+	CFramesDecoded = "frames_decoded"
 )
 
 // Span is one timed stage of a run. Spans nest; a nil *Span is the disabled

@@ -72,11 +72,15 @@ func (s *Server) process(m *store.Manifest, l *eventLog) error {
 	if err != nil {
 		return err
 	}
-	src, err := verro.OpenVideoSource(m.Input)
+	file, err := verro.OpenVideoSource(m.Input)
 	if err != nil {
 		return fmt.Errorf("input: %w", err)
 	}
-	defer src.Close()
+	defer file.Close()
+	var src verro.StreamSource = file
+	if s.wrapSource != nil {
+		src = s.wrapSource(file)
+	}
 	meta := src.Meta()
 	if meta.W != m.W || meta.H != m.H || meta.Frames != m.Frames {
 		return fmt.Errorf("input %s is now %dx%d/%d frames; admitted as %dx%d/%d — refusing to resume against a changed input",
@@ -85,28 +89,6 @@ func (s *Server) process(m *store.Manifest, l *eventLog) error {
 
 	trace := verro.NewTrace("verrod/" + m.ID)
 	trace.Observe(l.append)
-
-	// Tracks: load the provided CSV or run streaming detection+tracking.
-	// Both are deterministic, so a resumed job reconstructs the exact same
-	// object set the interrupted run saw.
-	var tracks *verro.TrackSet
-	if m.Tracks != "" {
-		tracks, err = verro.LoadTracks(m.Tracks)
-		if err != nil {
-			return fmt.Errorf("tracks: %w", err)
-		}
-	} else {
-		pcfg := verro.DefaultPipelineConfig()
-		pcfg.Trace = trace
-		pcfg.WindowFrames = m.Window
-		tracks, err = verro.DetectAndTrackStream(src, pcfg)
-		if err != nil {
-			return err
-		}
-		if err := src.Reset(); err != nil {
-			return err
-		}
-	}
 
 	cfg := verro.DefaultConfig()
 	cfg.Seed = m.Seed
@@ -121,25 +103,37 @@ func (s *Server) process(m *store.Manifest, l *eventLog) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("config: %w", err)
 	}
+
+	// Analysis and tracks: with a tracks CSV one analysis pass; without,
+	// the fused analysis+detection front end (two passes). Both are
+	// deterministic, so a resumed job re-analyzes to the exact state the
+	// interrupted run saw.
+	var a *verro.Analysis
+	var tracks *verro.TrackSet
+	if m.Tracks != "" {
+		tracks, err = verro.LoadTracks(m.Tracks)
+		if err != nil {
+			return fmt.Errorf("tracks: %w", err)
+		}
+		a, err = verro.Analyze(src, cfg)
+	} else {
+		pcfg := verro.DefaultPipelineConfig()
+		pcfg.Trace = trace
+		pcfg.WindowFrames = m.Window
+		a, tracks, err = verro.AnalyzeAndTrackStream(src, pcfg, cfg)
+	}
+	if err != nil {
+		return err
+	}
 	if m.Eps > 0 {
-		// ε→f conversion on a render-free dry run, exactly as the CLI does
-		// it. Deterministic for a given seed, so a resumed job lands on the
+		// ε→f conversion on the analysis, exactly as the CLI does it.
+		// Deterministic for a given seed, so a resumed job lands on the
 		// same f the interrupted run used.
-		dry := cfg
-		dry.Phase2.SkipRender = true
-		dry.Trace = nil
-		dryRes, err := verro.SanitizeStream(src, tracks, dry, nil)
-		if err != nil {
-			return fmt.Errorf("dry run: %w", err)
-		}
-		if err := src.Reset(); err != nil {
-			return err
-		}
-		conv, err := verro.FlipProbability(len(dryRes.Phase1.Picked), m.Eps)
+		f, _, err := verro.FlipForEpsilon(a, tracks, cfg, m.Eps)
 		if err != nil {
 			return err
 		}
-		cfg.Phase1.F = conv
+		cfg.Phase1.F = f
 	}
 	m.ResolvedF = cfg.Phase1.F
 
@@ -169,7 +163,7 @@ func (s *Server) process(m *store.Manifest, l *eventLog) error {
 		save:  func(frames int) error { m.CheckpointFrames = frames; return s.cfg.Store.Save(m) },
 		after: s.checkpointHook(m.ID),
 	}
-	res, err := verro.SanitizeStreamFrom(src, tracks, cfg, sink, start)
+	res, err := verro.Render(a, tracks, cfg, sink, start)
 	if err != nil {
 		return err
 	}

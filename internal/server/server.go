@@ -83,6 +83,9 @@ type Server struct {
 	// holdStart, when set (tests), blocks each admitted job until the
 	// channel is closed, pinning slots occupied.
 	holdStart chan struct{}
+	// wrapSource, when set (tests), wraps each job's input source — the
+	// seam a decode-counting test observes the job's passes through.
+	wrapSource func(verro.StreamSource) verro.StreamSource
 }
 
 // New builds a Server over the given store. Existing manifests are scanned
@@ -243,7 +246,7 @@ type jobRequest struct {
 	// pipeline's detection+tracking preprocessing runs first.
 	Tracks string `json:"tracks,omitempty"`
 	// F is the flip probability; Eps > 0 instead fixes a total ε budget
-	// that is converted to f on a render-free dry run.
+	// that is converted to f on the job's analysis (FlipForEpsilon).
 	F   float64 `json:"f,omitempty"`
 	Eps float64 `json:"eps,omitempty"`
 	// Seed drives all randomness (default 1).

@@ -47,7 +47,7 @@ type Manifest struct {
 	Input   string  `json:"input"`            // path to the input .vvf
 	Tracks  string  `json:"tracks,omitempty"` // optional tracks CSV; empty = detect
 	F       float64 `json:"f"`                // flip probability (ignored when Eps > 0)
-	Eps     float64 `json:"eps,omitempty"`    // total ε budget; converted to f on a dry run
+	Eps     float64 `json:"eps,omitempty"`    // total ε budget; converted to f by FlipForEpsilon
 	Seed    int64   `json:"seed"`
 	Window  int     `json:"window"`            // streaming window frames
 	Workers int     `json:"workers,omitempty"` // per-job pool size (0 = process default)

@@ -18,6 +18,7 @@ import (
 	"verro/internal/motio"
 	"verro/internal/obs"
 	"verro/internal/par"
+	"verro/internal/stream"
 )
 
 // Config tunes the tracker.
@@ -313,6 +314,17 @@ func NewRunnerRT(det detect.Detector, cfg Config, rt obs.Runtime) *Runner {
 		tspan: rt.Span.Child("track"),
 	}
 }
+
+// Name, Overlap, Process and Flush make the Runner the stream.Stage of a
+// detection pass: each window's frames are detected and tracked in order.
+func (r *Runner) Name() string                  { return "track" }
+func (r *Runner) Overlap() int                  { return 0 }
+func (r *Runner) Flush() error                  { return nil }
+func (r *Runner) Process(w stream.Window) error { return r.Window(w.FreshFrames()) }
+
+// DetectSpan is the runner's "detect" span, open until Finish: the span of
+// the detection pass.
+func (r *Runner) DetectSpan() *obs.Span { return r.dspan }
 
 // Window detects the next consecutive run of frames on the pool and folds
 // them through the tracker in frame order.

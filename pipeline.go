@@ -2,8 +2,8 @@ package verro
 
 import (
 	"fmt"
-	"io"
 
+	"verro/internal/core"
 	"verro/internal/detect"
 	"verro/internal/img"
 	"verro/internal/obs"
@@ -87,19 +87,8 @@ func DetectAndTrack(v *Video, cfg PipelineConfig) (*TrackSet, error) {
 	cfg.Trace.AttachPool(pool)
 	root := cfg.Trace.Root()
 	var det detect.Detector
-	switch cfg.Detector {
-	case DetectorHOGSVM:
-		d, err := detect.NewPedestrianDetector(cfg.Style, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("verro: build detector: %w", err)
-		}
-		d.RT = obs.Runtime{Pool: pool}
-		det = d
-	case DetectorBackgroundSub:
-		step := cfg.BackgroundStep
-		if step <= 0 {
-			step = detect.AutoStep(v.Len())
-		}
+	if cfg.Detector == DetectorBackgroundSub {
+		step := detect.Stride(cfg.BackgroundStep, v.Len())
 		bgSpan := root.Child("background")
 		bg, err := detect.MedianBackgroundRT(v.Frames, step, obs.Runtime{Pool: pool, Span: bgSpan})
 		bgSpan.End()
@@ -107,8 +96,11 @@ func DetectAndTrack(v *Video, cfg PipelineConfig) (*TrackSet, error) {
 			return nil, fmt.Errorf("verro: background model: %w", err)
 		}
 		det = detect.NewBGSubtractor(bg)
-	default:
-		return nil, fmt.Errorf("verro: unknown detector %d", cfg.Detector)
+	} else {
+		var err error
+		if det, err = modelDetector(cfg, pool); err != nil {
+			return nil, err
+		}
 	}
 	tracks, err := track.RunRT(v.Frames, det, cfg.Tracker, obs.Runtime{Pool: pool, Span: root})
 	if err != nil {
@@ -125,6 +117,8 @@ func DetectAndTrack(v *Video, cfg PipelineConfig) (*TrackSet, error) {
 // model-driven and needs a single pass. Tracks are bit-identical to the
 // batch path: the sample stack, the per-frame detections, and the tracker
 // step order are all exactly those of DetectAndTrack on the decoded clip.
+// AnalyzeAndTrackStream folds the sampling pass into the sanitizer's
+// analysis pass instead.
 func DetectAndTrackStream(src stream.Source, cfg PipelineConfig) (*TrackSet, error) {
 	meta := src.Meta()
 	if meta.Frames == 0 {
@@ -132,39 +126,128 @@ func DetectAndTrackStream(src stream.Source, cfg PipelineConfig) (*TrackSet, err
 	}
 	pool := par.NewPool(cfg.Workers)
 	cfg.Trace.AttachPool(pool)
-	root := cfg.Trace.Root()
-	var det detect.Detector
-	switch cfg.Detector {
-	case DetectorHOGSVM:
-		d, err := detect.NewPedestrianDetector(cfg.Style, cfg.Seed)
+	rt := obs.Runtime{Pool: pool, Span: cfg.Trace.Root()}
+	if cfg.Detector != DetectorBackgroundSub {
+		det, err := modelDetector(cfg, pool)
 		if err != nil {
-			return nil, fmt.Errorf("verro: build detector: %w", err)
+			return nil, err
 		}
-		d.RT = obs.Runtime{Pool: pool}
-		det = d
-	case DetectorBackgroundSub:
-		step := cfg.BackgroundStep
-		if step <= 0 {
-			step = detect.AutoStep(meta.Frames)
+		return trackPass(src, det, cfg, rt)
+	}
+	bgSpan := rt.Span.Child("background")
+	samples := &core.SampleStage{Step: detect.Stride(cfg.BackgroundStep, meta.Frames)}
+	err := stream.Run(src, cfg.WindowFrames, countDecoded(bgSpan), samples)
+	var det detect.Detector
+	if err == nil {
+		det, err = medianDetector(samples.Samples, obs.Runtime{Pool: pool, Span: bgSpan})
+	}
+	bgSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("verro: background model: %w", err)
+	}
+	if err := rewind(src); err != nil {
+		return nil, err
+	}
+	return trackPass(src, det, cfg, rt)
+}
+
+// AnalyzeAndTrackStream is the track-less streaming front end in two decode
+// passes: the sanitizer's analysis pass (Analyze under cfg) with the
+// background-subtraction detector's median sampling riding along, then the
+// detection-and-tracking pass. The sampling shares the analysis' own
+// background samples when pcfg.BackgroundStep and cfg.BackgroundStep
+// resolve to the same stride, and runs as a separate stage on the same pass
+// otherwise. The tracks are bit-identical to DetectAndTrackStream's and the
+// Analysis to Analyze's, ready for FlipForEpsilon and Render.
+func AnalyzeAndTrackStream(src StreamSource, pcfg PipelineConfig, cfg Config) (*Analysis, *TrackSet, error) {
+	meta := src.Meta()
+	if meta.Frames == 0 {
+		return nil, nil, fmt.Errorf("verro: empty video")
+	}
+	pool := par.NewPool(pcfg.Workers)
+	pcfg.Trace.AttachPool(pool)
+	rt := obs.Runtime{Pool: pool, Span: pcfg.Trace.Root()}
+	var det detect.Detector
+	var own *core.SampleStage
+	var extra []stream.Stage
+	if pcfg.Detector == DetectorBackgroundSub {
+		step := detect.Stride(pcfg.BackgroundStep, meta.Frames)
+		if cfg.Phase2.SkipRender || step != detect.Stride(cfg.BackgroundStep, meta.Frames) {
+			own = &core.SampleStage{Step: step}
+			extra = append(extra, own)
 		}
-		bgSpan := root.Child("background")
-		bg, err := medianBackgroundStream(src, cfg.WindowFrames, step, obs.Runtime{Pool: pool, Span: bgSpan})
+	} else {
+		var err error
+		if det, err = modelDetector(pcfg, pool); err != nil {
+			return nil, nil, err
+		}
+	}
+	a, err := core.Analyze(src, cfg, extra...)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := rewind(src); err != nil {
+		return nil, nil, err
+	}
+	if det == nil {
+		samples := a.BackgroundSamples()
+		if own != nil {
+			samples = own.Samples
+		}
+		bgSpan := rt.Span.Child("background")
+		det, err = medianDetector(samples, obs.Runtime{Pool: pool, Span: bgSpan})
 		bgSpan.End()
 		if err != nil {
-			return nil, fmt.Errorf("verro: background model: %w", err)
+			return nil, nil, fmt.Errorf("verro: background model: %w", err)
 		}
-		if err := src.Reset(); err != nil {
-			return nil, fmt.Errorf("verro: rewind for detection pass: %w", err)
-		}
-		det = detect.NewBGSubtractor(bg)
-	default:
+	}
+	tracks, err := trackPass(src, det, pcfg, rt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return a, tracks, nil
+}
+
+// modelDetector builds a detector that needs no pass over the clip: the
+// HOG+SVM pedestrian model. Background subtraction is built from samples
+// by medianDetector instead.
+func modelDetector(cfg PipelineConfig, pool *par.Pool) (detect.Detector, error) {
+	if cfg.Detector != DetectorHOGSVM {
 		return nil, fmt.Errorf("verro: unknown detector %d", cfg.Detector)
 	}
-	runner := track.NewRunnerRT(det, cfg.Tracker, obs.Runtime{Pool: pool, Span: root})
-	err := forEachWindow(src, cfg.WindowFrames, func(frames []*img.Image, _ int) error {
-		return runner.Window(frames)
-	})
+	d, err := detect.NewPedestrianDetector(cfg.Style, cfg.Seed)
 	if err != nil {
+		return nil, fmt.Errorf("verro: build detector: %w", err)
+	}
+	d.RT = obs.Runtime{Pool: pool}
+	return d, nil
+}
+
+// medianDetector builds the background-subtraction detector from the
+// strided sample stack: the median with step 1 over exactly the frames the
+// batch MedianBackgroundRT would stride onto, hence the identical model.
+func medianDetector(samples []*img.Image, rt obs.Runtime) (detect.Detector, error) {
+	bg, err := detect.MedianBackgroundRT(samples, 1, rt)
+	if err != nil {
+		return nil, err
+	}
+	return detect.NewBGSubtractor(bg), nil
+}
+
+// rewind resets the source for the detection pass.
+func rewind(src stream.Source) error {
+	if err := src.Reset(); err != nil {
+		return fmt.Errorf("verro: rewind for detection pass: %w", err)
+	}
+	return nil
+}
+
+// trackPass is the detection pass: a rewound source driven through the
+// detector and tracker in windows of cfg.WindowFrames, its decode counted
+// on the detect span.
+func trackPass(src stream.Source, det detect.Detector, cfg PipelineConfig, rt obs.Runtime) (*TrackSet, error) {
+	runner := track.NewRunnerRT(det, cfg.Tracker, rt)
+	if err := stream.Run(src, cfg.WindowFrames, countDecoded(runner.DetectSpan()), runner); err != nil {
 		return nil, fmt.Errorf("verro: tracking: %w", err)
 	}
 	tracks, err := runner.Finish()
@@ -174,45 +257,11 @@ func DetectAndTrackStream(src stream.Source, cfg PipelineConfig) (*TrackSet, err
 	return tracks, nil
 }
 
-// medianBackgroundStream computes the background-subtraction median model
-// from a bounded sampling pass: it retains only the frames the batch
-// MedianBackgroundRT would stride onto (every step-th frame — at most ~40
-// under detect.AutoStep) and feeds them to the same median with step 1,
-// which stacks the identical samples and therefore returns the identical
-// model.
-func medianBackgroundStream(src stream.Source, window, step int, rt obs.Runtime) (*Image, error) {
-	if step < 1 {
-		step = 1
-	}
-	var samples []*img.Image
-	err := forEachWindow(src, window, func(frames []*img.Image, start int) error {
-		for i, f := range frames {
-			if (start+i)%step == 0 {
-				samples = append(samples, f)
-			}
-		}
+// countDecoded is the stream.Run window hook of a decode pass: it counts
+// the frames each window pulls from the source as frames_decoded on span.
+func countDecoded(span *obs.Span) func(stream.Window) func() {
+	return func(w stream.Window) func() {
+		span.Add(obs.CFramesDecoded, int64(len(w.Frames)))
 		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return detect.MedianBackgroundRT(samples, 1, rt)
-}
-
-// forEachWindow drains the source in runs of at most window frames
-// (window <= 0 means one whole-clip run), invoking fn with each run and its
-// absolute start index.
-func forEachWindow(src stream.Source, window int, fn func([]*img.Image, int) error) error {
-	for {
-		frames, start, err := src.Next(window)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(frames, start); err != nil {
-			return err
-		}
 	}
 }

@@ -164,6 +164,36 @@ func SanitizeStreamFrom(src StreamSource, tracks *TrackSet, cfg Config, sink Str
 	return core.SanitizeStreamFrom(src, tracks, cfg, sink, startFrame)
 }
 
+// Analysis is the product of the sanitizer's analysis pass over a source:
+// per-frame key-frame histograms, background samples and pan offsets.
+// SanitizeStreamFrom is Analyze followed by Render; calling the two
+// directly lets a run consult the analysis in between (FlipForEpsilon)
+// or share its decode pass with detection (AnalyzeAndTrackStream).
+type Analysis = core.Analysis
+
+// Analyze runs the analysis pass of a streaming sanitization: one windowed
+// decode of src under cfg (its Keyframe, BackgroundStep, WindowFrames and
+// Workers settings; under Phase2.SkipRender only what FlipForEpsilon
+// needs).
+func Analyze(src StreamSource, cfg Config) (*Analysis, error) { return core.Analyze(src, cfg) }
+
+// FlipForEpsilon converts a total ε budget to a flip probability on an
+// analysis: it runs Phase I alone on the cached key frames to learn K, the
+// number picked, and returns f with ε = K·ln((2−f)/f) together with K —
+// what a render-free SanitizeStream dry run gives, in microseconds and
+// without touching the source. The analysis stays ready for Render.
+func FlipForEpsilon(a *Analysis, tracks *TrackSet, cfg Config, eps float64) (f float64, picked int, err error) {
+	return core.FlipForEpsilon(a, tracks, cfg, eps)
+}
+
+// Render finishes a streaming sanitization from its analysis: background
+// reconstruction, Phase I, Phase II and the windowed render into sink from
+// startFrame on, with the SanitizeStreamFrom contract. cfg must keep the
+// analysis' Keyframe and BackgroundStep settings; an analysis renders once.
+func Render(a *Analysis, tracks *TrackSet, cfg Config, sink StreamSink, startFrame int) (*Result, error) {
+	return core.Render(a, tracks, cfg, sink, startFrame)
+}
+
 // MultiTypeResult is the output of SanitizeMultiType.
 type MultiTypeResult = core.MultiTypeResult
 
