@@ -121,12 +121,15 @@ race:
 
 ## race-par: the targeted race gate — worker-pool equivalence, the scoped
 ## concurrent-sanitize test, the streaming equivalence matrix (whose
-## per-window render fan-out is the newest pool user), and the verrod
-## handlers (concurrent jobs + SSE subscribers share the trace-observer
-## path) under the race detector. A fast early failure before the full
-## race suite.
+## per-window render fan-out is the newest pool user), the analysis pass's
+## decode-ahead goroutine (its lifecycle on every exit path, its
+## decode_wait_ns counter, and the fused analysis-and-detection rewind),
+## and the verrod handlers (concurrent jobs + SSE subscribers share the
+## trace-observer path) under the race detector. A fast early failure
+## before the full race suite.
 race-par:
-	$(GO) test -race -run 'TestParallelEquivalence|TestConcurrentSanitizeScopedWorkers|TestStreamEquivalence' .
+	$(GO) test -race -run 'TestParallelEquivalence|TestConcurrentSanitizeScopedWorkers|TestStreamEquivalence|TestStreamAnalyzeAndTrackRewind' .
+	$(GO) test -race -run 'TestAnalyzeDecodeAhead|TestAnalyzeDecodeWait' ./internal/core/
 	$(GO) test -race -run 'TestJobLifecycle|TestAdmissionControl|TestEventsMonotonicWindowProgress' ./internal/server/
 	$(GO) test -race ./internal/store/ ./internal/stream/ ./internal/lint/incr/
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"time"
@@ -139,6 +140,96 @@ func decodeHook(parent *obs.Span) func(stream.Window) func() {
 	}
 }
 
+// aheadSource decodes the analysis pass one window ahead: a goroutine
+// pulls window k+1 from the source while the stages process window k on the
+// coordinator. The hand-off channel is unbuffered, so at most two windows
+// are live — the one being processed and the one being decoded or waiting
+// to be taken. Stages, hooks and counters still run on the coordinator in
+// window order, so the pass computes exactly what a sequential one does.
+//
+// Only stream.Run drives it, and Run calls only Meta and Next; the source
+// itself is touched by the goroutine alone until stop returns, after which
+// the caller may Reset or Close it.
+type aheadSource struct {
+	meta    stream.Meta
+	fetched chan fetched
+	done    chan struct{}
+	span    *obs.Span
+}
+
+// fetched is one Next result handed from the decode goroutine.
+type fetched struct {
+	frames []*img.Image
+	start  int
+	err    error
+}
+
+// decodeAhead starts decoding src in windows of budget frames; the
+// coordinator's waits for them accumulate as span's decode_wait_ns.
+func decodeAhead(src stream.Source, budget int, span *obs.Span) *aheadSource {
+	a := &aheadSource{
+		meta:    src.Meta(),
+		fetched: make(chan fetched),
+		done:    make(chan struct{}),
+		span:    span,
+	}
+	go a.decode(src, budget)
+	return a
+}
+
+// decode is the decode goroutine: it pulls windows until the source ends
+// or fails, or until stop. It closes fetched on exit.
+func (a *aheadSource) decode(src stream.Source, budget int) {
+	defer close(a.fetched)
+	for {
+		select {
+		case <-a.done:
+			return
+		default:
+		}
+		frames, start, err := src.Next(budget)
+		select {
+		case a.fetched <- fetched{frames, start, err}:
+		case <-a.done:
+			return
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// Meta implements stream.Source.
+func (a *aheadSource) Meta() stream.Meta { return a.meta }
+
+// Next implements stream.Source: it takes the window the goroutine decoded
+// (its budget was fixed at decodeAhead). Past the end it reports io.EOF.
+func (a *aheadSource) Next(int) ([]*img.Image, int, error) {
+	stop := a.span.Stopwatch(obs.CDecodeWaitNS)
+	f, ok := <-a.fetched
+	stop()
+	if !ok {
+		return nil, a.meta.Frames, io.EOF
+	}
+	return f.frames, f.start, f.err
+}
+
+// Reset implements stream.Source; the analysis pass never rewinds.
+func (a *aheadSource) Reset() error { return fmt.Errorf("core: decode-ahead source cannot rewind") }
+
+// Close implements stream.Source; the caller owns the underlying source.
+func (a *aheadSource) Close() error { return nil }
+
+// stop ends the decode goroutine and waits for it to exit: it finishes a
+// Next already under way, and a window it decoded that the pass did not
+// take is dropped. Called on every path out of the pass, so the source is
+// the caller's again when Analyze returns.
+func (a *aheadSource) stop() {
+	close(a.done)
+	for range a.fetched {
+	}
+}
+
 // windowSpend attributes Phase I budget to the render window [lo, hi): the
 // picked key frames falling inside it, at ln((2−f)/f) each. Summing the
 // integer Picked fields over all windows recovers len(p1.Picked) exactly,
@@ -238,9 +329,13 @@ type Analysis struct {
 // ~40 strided background samples detect.AutoStep bounds. Under
 // cfg.Phase2.SkipRender only the histograms are taken: the result can
 // convert ε to f but not render. extra stages ride along on the same pass,
-// which is how detection shares the decode. Traced under an "analysis"
-// span with one window@N child per window; the span's frames_decoded
-// counter is the number of frames pulled from src.
+// which is how detection shares the decode. The source is decoded one
+// window ahead on a goroutine (aheadSource) that has exited by the time
+// Analyze returns, whatever the outcome, so the caller may Reset or Close
+// src straight away. Traced under an "analysis" span with one window@N
+// child per window; the span's frames_decoded counter is the number of
+// frames pulled from src and its decode_wait_ns the time the stages sat
+// waiting for them.
 func Analyze(src stream.Source, cfg Config, extra ...stream.Stage) (*Analysis, error) {
 	meta := src.Meta()
 	if meta.Frames == 0 {
@@ -271,7 +366,9 @@ func Analyze(src stream.Source, cfg Config, extra ...stream.Stage) (*Analysis, e
 	err := timed(&a.prep, func() error {
 		span := a.root.Child("analysis")
 		defer span.End()
-		return stream.Run(src, cfg.WindowFrames, decodeHook(span), stages...)
+		ahead := decodeAhead(src, cfg.WindowFrames, span)
+		defer ahead.stop()
+		return stream.Run(ahead, cfg.WindowFrames, decodeHook(span), stages...)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: analysis pass: %w", err)

@@ -71,6 +71,12 @@ const (
 	// background sampling, detection). Summed over the trace it is the
 	// number of frames the run decoded.
 	CFramesDecoded = "frames_decoded"
+	// CDecodeWaitNS is the time, in nanoseconds, the analysis pass's
+	// coordinator waited for the next decoded window (the first window's
+	// decode included). Near the first window's decode time, decode is
+	// hidden behind the stages; near the pass's whole decode time, the
+	// pass is decode-bound.
+	CDecodeWaitNS = "decode_wait_ns"
 )
 
 // Span is one timed stage of a run. Spans nest; a nil *Span is the disabled
@@ -137,6 +143,17 @@ func (s *Span) Add(name string, n int64) {
 	o := s.obs
 	s.mu.Unlock()
 	o.emit(Event{Kind: EventCounter, Span: s.name, Parent: s.parent, Counter: name, Delta: n, Total: total})
+}
+
+// Stopwatch starts timing and returns the function that stops it, adding
+// the nanoseconds in between to the named counter. On a nil span neither
+// reads the clock.
+func (s *Span) Stopwatch(name string) func() {
+	if s == nil {
+		return func() {}
+	}
+	start := time.Now()
+	return func() { s.Add(name, time.Since(start).Nanoseconds()) }
 }
 
 // Counter reads a counter (0 when absent or s is nil).

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+	"time"
 
 	"verro/internal/par"
 )
@@ -29,9 +30,25 @@ func TestNilTraceIsInert(t *testing.T) {
 		t.Fatal("nil span Child must stay nil")
 	}
 	c.Add("n", 1)
+	c.Stopwatch("w")()
 	c.End()
-	if c.Counter("n") != 0 {
+	if c.Counter("n") != 0 || c.Counter("w") != 0 {
 		t.Fatal("nil span counter must read 0")
+	}
+}
+
+func TestStopwatch(t *testing.T) {
+	s := NewTrace("run").Root()
+	stop := s.Stopwatch(CDecodeWaitNS)
+	time.Sleep(2 * time.Millisecond)
+	stop()
+	first := s.Counter(CDecodeWaitNS)
+	if first < int64(2*time.Millisecond) {
+		t.Fatalf("stopwatch recorded %d ns over a 2 ms sleep", first)
+	}
+	s.Stopwatch(CDecodeWaitNS)()
+	if got := s.Counter(CDecodeWaitNS); got < first {
+		t.Fatalf("second stopwatch lowered the counter: %d < %d", got, first)
 	}
 }
 

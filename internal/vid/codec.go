@@ -25,6 +25,12 @@ const (
 	maxDim     = 1 << 14
 	frameRaw   = 0
 	frameDelta = 1
+
+	// payloadChunk is the first buffer size for a frame payload the stream
+	// has not yet shown it holds; maxPresized caps the frame list a Next
+	// call allocates before any frame has arrived.
+	payloadChunk = 64 << 10
+	maxPresized  = 256
 )
 
 // ErrFormat reports a malformed .vvf stream.

@@ -218,14 +218,16 @@ func (r *Reader) Next(budget int) ([]*img.Image, int, error) {
 	}
 	start := r.pos
 	frameBytes := r.meta.W * r.meta.H * 3
-	out := make([]*img.Image, 0, end-start)
+	// The header's frame count is a claim, not a promise: pre-size for a
+	// bounded run and let append grow past it as frames actually arrive.
+	out := make([]*img.Image, 0, min(end-start, maxPresized))
 	kind := make([]byte, 1)
 	for r.pos < end {
 		if _, err := io.ReadFull(r.zr, kind); err != nil {
 			return nil, start, fmt.Errorf("%w: frame %d kind: %v", ErrFormat, r.pos, err)
 		}
-		pix := make([]uint8, frameBytes)
-		if _, err := io.ReadFull(r.zr, pix); err != nil {
+		pix, err := r.readPayload(frameBytes)
+		if err != nil {
 			return nil, start, fmt.Errorf("%w: frame %d payload: %v", ErrFormat, r.pos, err)
 		}
 		switch kind[0] {
@@ -245,6 +247,33 @@ func (r *Reader) Next(budget int) ([]*img.Image, int, error) {
 		r.pos++
 	}
 	return out, start, nil
+}
+
+// readPayload reads one frame's n payload bytes. Once a frame has arrived
+// whole, the stream has shown it holds frames of this size and the buffer
+// is allocated at once; before that it grows with the bytes that actually
+// arrive, doubling from payloadChunk, so a header claiming 16384×16384
+// frames over a few bytes of payload costs a few kilobytes, not 768 MiB.
+func (r *Reader) readPayload(n int) ([]uint8, error) {
+	if r.prev != nil || n <= payloadChunk {
+		pix := make([]uint8, n)
+		_, err := io.ReadFull(r.zr, pix)
+		return pix, err
+	}
+	pix := make([]uint8, 0, payloadChunk)
+	for {
+		m, err := io.ReadFull(r.zr, pix[len(pix):cap(pix)])
+		pix = pix[:len(pix)+m]
+		if err != nil {
+			return nil, err
+		}
+		if len(pix) == n {
+			return pix, nil
+		}
+		grown := make([]uint8, len(pix), min(2*cap(pix), n))
+		copy(grown, pix)
+		pix = grown
+	}
 }
 
 // Close releases the decompressor.
